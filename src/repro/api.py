@@ -4,7 +4,7 @@ One curated, flat surface over the package's layers::
 
     from repro.api import Sparsifier, SparsifierService, InGrassConfig
 
-    driver = Sparsifier(InGrassConfig(num_shards=4))     # engine choice is config-driven
+    driver = Sparsifier(InGrassConfig())
     driver.setup(graph)
     driver.update(batch)
 
@@ -31,7 +31,6 @@ from repro.core.config import InGrassConfig, LRDConfig
 
 # -- drivers (write path) ---------------------------------------------------
 from repro.core.incremental import InGrassSparsifier, IterationRecord, MixedUpdateResult
-from repro.core.sharding import ShardedSparsifier, ShardPlan
 
 # -- persistence ------------------------------------------------------------
 from repro.checkpoint import (
@@ -108,14 +107,8 @@ from repro.streams.scenarios import (
 
 
 def Sparsifier(config: Optional[InGrassConfig] = None) -> InGrassSparsifier:
-    """Build the incremental sparsifier driver matching ``config``.
-
-    The canonical constructor: delegates to
-    :meth:`InGrassSparsifier.from_config`, so ``config.num_shards > 1``
-    transparently returns the sharded engine (same public API, bit-identical
-    sparsifier by the oracle guarantee) and ``None`` means defaults.
-    """
-    return InGrassSparsifier.from_config(config)
+    """Build the incremental sparsifier driver for ``config`` (``None`` means defaults)."""
+    return InGrassSparsifier(config)
 
 
 __all__ = [
@@ -125,8 +118,6 @@ __all__ = [
     # drivers
     "Sparsifier",
     "InGrassSparsifier",
-    "ShardedSparsifier",
-    "ShardPlan",
     "IterationRecord",
     "MixedUpdateResult",
     # persistence

@@ -57,6 +57,16 @@ _ARRAYS = "arrays.npz"
 
 PathLike = Union[str, "os.PathLike[str]"]
 
+#: Config fields of the retired sharded engine.  Version-1 checkpoints saved
+#: by a sharded driver carry them; they are accepted and ignored, and such a
+#: checkpoint restores into the unsharded driver (every sharded run was
+#: bit-exact with it).  The sharded driver's ``extra.sharding`` record and
+#: ``extra_plan_node_shard`` array are likewise never read.
+_RETIRED_CONFIG_KEYS = (
+    "num_shards", "executor", "shard_mode", "shard_batch_threshold",
+    "replan_escrow_fraction", "replan_imbalance", "replan_min_events",
+)
+
 
 def _edge_triplet(graph: Graph, prefix: str) -> dict:
     """The graph's edges as three parallel arrays, dict insertion order."""
@@ -163,8 +173,8 @@ def _read_manifest(path: PathLike) -> dict:
 def _config_from_manifest(manifest: dict) -> InGrassConfig:
     config_dict = dict(manifest["config"])
     lrd = LRDConfig(**config_dict.pop("lrd"))
-    # Both `executor` and its legacy mirror `shard_mode` were saved, so
-    # reconstruction never trips the deprecation warning.
+    for key in _RETIRED_CONFIG_KEYS:
+        config_dict.pop(key, None)
     return InGrassConfig(lrd=lrd, **config_dict)
 
 
@@ -179,8 +189,7 @@ def describe_checkpoint(path: PathLike) -> dict:
     with np.load(os.path.join(path, _ARRAYS)) as data:
         graph_edges = int(data["graph_us"].shape[0])
         sparsifier_edges = int(data["sp_us"].shape[0])
-    config = manifest["config"]
-    summary = {
+    return {
         "format_version": manifest["format_version"],
         "driver_class": manifest["driver_class"],
         "num_nodes": manifest["num_nodes"],
@@ -190,16 +199,9 @@ def describe_checkpoint(path: PathLike) -> dict:
         "iterations": len(manifest["history"]),
         "filtering_level": manifest["filtering_level"],
         "target_condition_number": manifest["target_condition_number"],
-        "executor": config.get("executor"),
-        "num_shards": config.get("num_shards"),
-        "hierarchy_mode": config.get("hierarchy_mode"),
+        "hierarchy_mode": manifest["config"].get("hierarchy_mode"),
         "num_levels": manifest["num_levels"],
     }
-    sharding = manifest.get("extra", {}).get("sharding")
-    if sharding:
-        summary["plan_shards"] = sharding["num_shards"]
-        summary["replans"] = sharding["replans"]
-    return summary
 
 
 def load_checkpoint(path: PathLike) -> InGrassSparsifier:
@@ -208,13 +210,12 @@ def load_checkpoint(path: PathLike) -> InGrassSparsifier:
     The restored driver continues byte-identically to the saved one: graphs
     are replayed in saved edge order (dict order preserved), the hierarchy
     is rebuilt from its level arrays with every staleness counter restored,
-    and the driver-specific ``extra`` state (shard plan, replan policy
-    accumulators, maintainer counters, pending splices) lands through
-    ``_restore_runtime_state``.  No LRD re-run, no re-planning.
+    and the driver-specific ``extra`` state (maintainer counters, pending
+    splices) lands through ``_restore_runtime_state``.  No LRD re-run.
     """
     manifest = _read_manifest(path)
     config = _config_from_manifest(manifest)
-    driver = InGrassSparsifier.from_config(config)
+    driver = InGrassSparsifier(config)
 
     with np.load(os.path.join(path, _ARRAYS)) as data:
         num_nodes = int(manifest["num_nodes"])

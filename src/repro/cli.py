@@ -5,7 +5,6 @@ grab-bag of ``python -m repro.bench.<module>`` invocations::
 
     python -m repro bench gate --no-check          # unified CI gate runner
     python -m repro bench churn --quick            # churn benchmark
-    python -m repro bench shard                    # shard speedup gate
     python -m repro bench soak --output soak.json  # nightly soak
     python -m repro serve-demo                     # concurrent-read service demo
     python -m repro bench --list                   # every registered bench
@@ -26,13 +25,10 @@ from typing import Callable, Dict, List, Optional
 _BENCH_MODULES: Dict[str, str] = {
     "gate": "repro.bench.gate",
     "churn": "repro.bench.churn",
-    "shard": "repro.bench.shard",
     "soak": "repro.bench.soak",
     "batch": "repro.bench.batch",
     "baseline": "repro.bench.baseline",
     "churn-maintenance": "repro.bench.churn_maintenance",
-    "shard-removal": "repro.bench.shard_removal",
-    "shard-processes": "repro.bench.shard_processes",
     "serve-latency": "repro.bench.serve_latency",
     "table1": "repro.bench.table1",
     "table2": "repro.bench.table2",
@@ -324,9 +320,6 @@ def _run_checkpoint(argv: List[str]) -> int:
                       help="grid side length of the demo graph (default 13)")
     save.add_argument("--batches", type=int, default=5,
                       help="churn batches to stream before saving (default 5)")
-    save.add_argument("--num-shards", type=int, default=1)
-    save.add_argument("--executor", default=None,
-                      choices=("auto", "serial", "threads", "processes"))
     save.add_argument("--seed", type=int, default=0)
 
     restore = sub.add_parser(
@@ -361,8 +354,7 @@ def _run_checkpoint(argv: List[str]) -> int:
 
     if args.action == "save":
         scenario = demo_scenario(args.seed, args.side, args.batches)
-        config = InGrassConfig(seed=args.seed, num_shards=args.num_shards,
-                               executor=args.executor)
+        config = InGrassConfig(seed=args.seed)
         driver = Sparsifier(config)
         driver.setup(scenario.graph, scenario.initial_sparsifier,
                      target_condition_number=scenario.initial_condition_number)

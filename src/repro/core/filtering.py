@@ -170,26 +170,6 @@ class FilterDecisionBatch:
         indices = np.flatnonzero(mask)
         return [(int(self.us[i]), int(self.vs[i]), float(self.ws[i])) for i in indices]
 
-    @classmethod
-    def concat(cls, batches: Sequence["FilterDecisionBatch"]) -> "FilterDecisionBatch":
-        """Concatenate several record batches (the sharded engine's merge step)."""
-        batches = [batch for batch in batches if len(batch)]
-        if not batches:
-            return cls.empty(0)
-        if len(batches) == 1:
-            return batches[0]
-        return cls(
-            us=np.concatenate([b.us for b in batches]),
-            vs=np.concatenate([b.vs for b in batches]),
-            ws=np.concatenate([b.ws for b in batches]),
-            distortions=np.concatenate([b.distortions for b in batches]),
-            actions=np.concatenate([b.actions for b in batches]),
-            target_us=np.concatenate([b.target_us for b in batches]),
-            target_vs=np.concatenate([b.target_vs for b in batches]),
-            pair_los=np.concatenate([b.pair_los for b in batches]),
-            pair_his=np.concatenate([b.pair_his for b in batches]),
-        )
-
     def extended_with_dropped(self, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
                               distortions: np.ndarray) -> "FilterDecisionBatch":
         """Return a new batch with trailing DROPPED_LOW_DISTORTION records."""
@@ -332,10 +312,10 @@ class SimilarityFilter:
 
         The smallest edge key of the bucket, *not* an iteration-order pick:
         bucket insertion order is history (it differs between a filter that
-        evolved in place and one rebuilt from a sparsifier scan, e.g. a shard
-        replan), and the representative decides where merged weight lands —
-        so it must be a pure function of the bucket's *content* for the
-        sharded driver's oracle guarantee to hold.
+        evolved in place and one rebuilt from a sparsifier scan, e.g. after a
+        checkpoint restore), and the representative decides where merged
+        weight lands — so it must be a pure function of the bucket's
+        *content* for a restored driver to continue bit-exactly.
         """
         bucket = self._connectivity.get(pair)
         if not bucket:
@@ -354,19 +334,6 @@ class SimilarityFilter:
         later filtering decisions see the connection.
         """
         self._register_edge(u, v)
-
-    def notify_edges_added(self, us: np.ndarray, vs: np.ndarray) -> None:
-        """Bulk :meth:`notify_edge_added` over parallel endpoint arrays.
-
-        The process-executor replay path registers every edge a shard worker
-        admitted in one call; bucket state is a pure function of the
-        registered edge *set* (no weights, no history), so replaying the
-        membership notifications is all it takes to keep a parent-side view
-        decision-identical to the worker's live filter.
-        """
-        for u, v in zip(np.asarray(us, dtype=np.int64).tolist(),
-                        np.asarray(vs, dtype=np.int64).tolist()):
-            self._register_edge(u, v)
 
     def notify_edge_removed(self, u: int, v: int) -> None:
         """Keep the connectivity map in sync with a sparsifier edge deletion.
@@ -414,15 +381,6 @@ class SimilarityFilter:
     # ------------------------------------------------------------------ #
     # Cluster-rename protocol for the hierarchy maintenance layer
     # ------------------------------------------------------------------ #
-    def _scope_mask(self, us: np.ndarray, vs: np.ndarray) -> Optional[np.ndarray]:
-        """Boolean ownership mask for bulk operations (``None`` = own all).
-
-        The base filter owns every sparsifier edge; shard-scoped subclasses
-        override this with their plan lookup so the shared bulk register /
-        unregister kernels below stay the single implementation.
-        """
-        return None
-
     def incident_edge_arrays(self, nodes) -> Tuple[np.ndarray, np.ndarray]:
         """Canonical ``(u, v)`` arrays of every sparsifier edge touching ``nodes``.
 
@@ -459,9 +417,6 @@ class SimilarityFilter:
         bucket is not part of the filter's contract — representatives and
         redistribution are content-canonical).
         """
-        mask = self._scope_mask(us, vs)
-        if mask is not None:
-            us, vs = us[mask], vs[mask]
         if us.size == 0:
             return
         labels = self._labels
@@ -479,9 +434,6 @@ class SimilarityFilter:
 
     def _unregister_pairs(self, us: np.ndarray, vs: np.ndarray) -> None:
         """Bulk :meth:`_unregister_edge` over canonical endpoint arrays."""
-        mask = self._scope_mask(us, vs)
-        if mask is not None:
-            us, vs = us[mask], vs[mask]
         if us.size == 0:
             return
         labels = self._labels
@@ -556,7 +508,7 @@ class SimilarityFilter:
         are sorted canonically: the proportional split divides by the float
         *sum* of the current weights, whose rounding depends on summation
         order, so the arithmetic must not see bucket insertion order (which
-        differs between an evolved filter and one rebuilt by a shard replan).
+        differs between an evolved filter and one rebuilt after a restore).
         """
         edges = sorted(self._intra_cluster_edges.get(cluster, {}))
         if not edges:

@@ -133,7 +133,7 @@ class ClusterHierarchy:
             level.labels = self._embedding[:, index]
         # Lazily built cluster→members index, one table per level; maintained
         # incrementally by relabel_nodes/append_cluster once built, so splice
-        # and merge operations (and shard routing) read cluster member sets in
+        # and merge operations read cluster member sets in
         # O(cluster size) instead of scanning all n labels per touched cluster.
         self._members: List[Optional[List[Optional[np.ndarray]]]] = [None] * len(self._levels)
         # Staleness bookkeeping for the fully dynamic update path: every noted
@@ -161,6 +161,15 @@ class ClusterHierarchy:
     def num_levels(self) -> int:
         """Number of decomposition levels (= embedding dimension)."""
         return len(self._levels)
+
+    def __setstate__(self, state: dict) -> None:
+        # ``copy.deepcopy`` and pickle rebuild the embedding and every
+        # level's labels as separate arrays; re-point the labels at the
+        # embedding columns so a copy keeps the single-source-of-truth
+        # invariant (otherwise its relabels would never reach level.labels).
+        self.__dict__.update(state)
+        for index, level in enumerate(self._levels):
+            level.labels = self._embedding[:, index]
 
     @property
     def num_nodes(self) -> int:
@@ -427,13 +436,20 @@ class ClusterHierarchy:
                 for old in np.unique(old_labels[old_labels != new_cluster]).tolist():
                     bucket = table[int(old)]
                     leaving = movers[self._embedding[movers, level_index] == old]
+                    if leaving.size == bucket.size:
+                        # The whole cluster moves (a merge): nothing stays.
+                        table[int(old)] = None
+                        continue
                     kept = bucket[~np.isin(bucket, leaving, assume_unique=True)]
                     table[int(old)] = kept if kept.size else None
                 existing = table[new_cluster]
                 if existing is None:
                     table[new_cluster] = movers
                 else:
-                    table[new_cluster] = np.union1d(existing, movers)
+                    # Disjoint ascending runs (movers had another label): a
+                    # stable sort merges them in linear time.
+                    table[new_cluster] = np.sort(np.concatenate((existing, movers)),
+                                                 kind="stable")
         self._embedding[moved, level_index] = new_cluster
         self._version += 1
         self._labels_version += 1
@@ -519,8 +535,7 @@ class ClusterHierarchy:
                           diameter_thresholds: Sequence[float]) -> "ClusterHierarchy":
         """Rebuild a hierarchy from raw level arrays.
 
-        The constructor path used by both the process-executor workers (which
-        receive the arrays over a pipe) and checkpoint restore.  A plain
+        The constructor path used by checkpoint restore.  A plain
         ``pickle`` of a live hierarchy would detach every ``level.labels``
         from the embedding matrix (they are column *views*, and unpickling
         materialises them as independent copies), silently breaking the
@@ -567,8 +582,8 @@ class ClusterHierarchy:
                          inflation_ceiling: Optional[float]) -> None:
         """Restore the mutation/staleness counters a fresh constructor zeroed.
 
-        Version counters are what level-bound caches (similarity filters, the
-        shard plan) validate against, so a restored hierarchy must resume the
+        Version counters are what level-bound caches (similarity filters)
+        validate against, so a restored hierarchy must resume the
         saved sequence — otherwise the first post-restore mutation could
         collide with a cached pre-save version and mask real staleness.
         """

@@ -93,19 +93,6 @@ class MaintenanceStats:
             rekey_seconds=self.rekey_seconds,
         )
 
-    def merge(self, other: "MaintenanceStats") -> None:
-        """Fold ``other``'s counters into this record (sharded aggregation)."""
-        self.removals += other.removals
-        self.insertions += other.insertions
-        self.splices += other.splices
-        self.splits += other.splits
-        self.merges += other.merges
-        self.diameter_recomputes += other.diameter_recomputes
-        self.maintenance_seconds += other.maintenance_seconds
-        self.splice_seconds += other.splice_seconds
-        self.diameter_seconds += other.diameter_seconds
-        self.rekey_seconds += other.rekey_seconds
-
 
 @dataclass
 class SpliceReport:
@@ -357,11 +344,10 @@ class HierarchyMaintainer:
     def note_spliced_nodes(self, nodes) -> None:
         """Mark ``nodes`` as pending splice neighbourhood.
 
-        Used by the sharded driver when it rebuilds its per-shard contexts
-        (a replan) between a removal batch and the κ-guard pass: the retiring
-        maintainer's un-drained splice neighbourhood is adopted by its
-        replacement, so the guard's round-0 candidate pool is independent of
-        when replans happen — part of the oracle guarantee.
+        Used by checkpoint restore: a checkpoint saved between a removal
+        batch and the κ-guard pass carries the un-drained splice
+        neighbourhood, and the restored maintainer adopts it, so the guard's
+        round-0 candidate pool is the one the uninterrupted run would see.
         """
         for node in np.asarray(nodes, dtype=np.int64).tolist():
             self._splice_neighbourhood[int(node)] = None
@@ -444,16 +430,20 @@ class HierarchyMaintainer:
             if w <= 0:
                 continue
             edge_resistance = 1.0 / float(w)
+            # Both endpoints' labels at every level, read once per edge: a
+            # merge relabels only its own level, which the loop never reads
+            # again, so the rows stay exact for the rest of this edge.
+            labels_u = hierarchy.embedding_vector(u).tolist()
+            labels_v = hierarchy.embedding_vector(v).tolist()
             for level_index in range(num_levels):
-                level = hierarchy.level(level_index)
-                cluster_u = int(level.labels[u])
-                cluster_v = int(level.labels[v])
+                cluster_u = labels_u[level_index]
+                cluster_v = labels_v[level_index]
                 if cluster_u == cluster_v:
                     continue
-                if level_index + 1 < num_levels:
-                    coarser = hierarchy.level(level_index + 1).labels
-                    if int(coarser[u]) != int(coarser[v]):
-                        continue
+                if (level_index + 1 < num_levels
+                        and labels_u[level_index + 1] != labels_v[level_index + 1]):
+                    continue
+                level = hierarchy.level(level_index)
                 merged_diameter = (
                     float(level.cluster_diameters[cluster_u])
                     + float(level.cluster_diameters[cluster_v])

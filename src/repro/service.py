@@ -59,9 +59,7 @@ class SparsifierService:
     Parameters
     ----------
     config:
-        Driver configuration; ``config.num_shards`` transparently selects the
-        sharded engine (via :meth:`InGrassSparsifier.from_config`).  Ignored
-        when ``driver`` is given.
+        Driver configuration.  Ignored when ``driver`` is given.
     driver:
         An existing driver to wrap (e.g. one that already ran ``setup``).
     max_snapshots:
@@ -75,7 +73,7 @@ class SparsifierService:
                  max_snapshots: int = 8) -> None:
         if max_snapshots < 1:
             raise ValueError("max_snapshots must be at least 1")
-        self._driver = driver if driver is not None else InGrassSparsifier.from_config(config)
+        self._driver = driver if driver is not None else InGrassSparsifier(config)
         self._lock = threading.RLock()
         self._snapshots: "OrderedDict[int, SparsifierSnapshot]" = OrderedDict()
         self._max_snapshots = max_snapshots
@@ -241,7 +239,6 @@ class SparsifierService:
                 "applied_batches": self._applied_batches,
                 "retained_versions": list(self._snapshots.keys()),
                 "max_snapshots": self._max_snapshots,
-                "num_shards": self._driver.config.num_shards,
                 "hierarchy_mode": self._driver.config.hierarchy_mode,
                 "write_stats": self.write_stats,
                 "snapshot": snap.describe(),

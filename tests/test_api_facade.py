@@ -8,7 +8,6 @@ import repro
 import repro.api as api
 from repro import cli
 from repro.core.incremental import InGrassSparsifier
-from repro.core.sharding import ShardedSparsifier
 
 
 class TestApiFacade:
@@ -25,9 +24,10 @@ class TestApiFacade:
 
     def test_factory_routes_on_config(self):
         assert type(api.Sparsifier(None)) is InGrassSparsifier
-        assert type(api.Sparsifier(api.InGrassConfig())) is InGrassSparsifier
-        sharded = api.Sparsifier(api.InGrassConfig(num_shards=2))
-        assert isinstance(sharded, ShardedSparsifier)
+        config = api.InGrassConfig(hierarchy_mode="rebuild")
+        driver = api.Sparsifier(config)
+        assert type(driver) is InGrassSparsifier
+        assert driver.config is config
 
     def test_facade_is_importable_in_one_line(self):
         # The documented quickstart import must keep working verbatim.
@@ -54,7 +54,7 @@ class TestUnifiedCli:
     def test_bench_list(self, capsys):
         assert cli.main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("gate", "churn", "shard", "soak"):
+        for name in ("gate", "churn", "soak"):
             assert name in out
 
     def test_bench_registry_covers_every_bench_module(self):

@@ -5,8 +5,8 @@ after N batches and restored — into this process or a freshly spawned one —
 must replay the remaining stream to exactly the state an uninterrupted run
 reaches: same sparsifier edge dict (set, weights, insertion order), same
 graph, same κ, same history fingerprint, same version counter.  The property
-is checked across executors ({serial, threads, processes}), shard counts
-({1, 2, 4}) and both hierarchy modes.
+is checked in both hierarchy modes.  Committed fixtures saved by the retired
+sharded engine pin that its version-1 checkpoints still restore and continue.
 """
 
 from __future__ import annotations
@@ -28,12 +28,19 @@ from repro.checkpoint import (
 )
 from repro.core import InGrassConfig, LRDConfig
 from repro.core.incremental import InGrassSparsifier
-from repro.core.sharding import ShardedSparsifier
 from repro.graphs.generators import grid_circuit_2d
 from repro.service import SparsifierService
 from repro.streams.scenarios import DynamicScenarioConfig, build_dynamic_scenario
 
 DENSE_LIMIT = 600
+
+#: Mid-stream checkpoints (after 3 of the scenario's 6 batches) saved by the
+#: retired sharded engine, one directory per ``<num_shards>-<executor>-<mode>``
+#: configuration it ran.
+LEGACY_CHECKPOINTS = Path(__file__).parent / "fixtures" / "legacy_sharded_checkpoints"
+LEGACY_CONFIGS = ["1-serial-rebuild", "1-serial-maintain", "2-threads-maintain",
+                  "2-processes-rebuild", "4-processes-maintain"]
+LEGACY_SHARDED_CHECKPOINT = LEGACY_CHECKPOINTS / "2-serial-maintain"
 
 #: One deterministic churn scenario shared by every round-trip test (and
 #: rebuilt bit-identically inside the spawned-process test's child).
@@ -46,15 +53,12 @@ SCENARIO_KWARGS = dict(
 )
 
 
-def make_config(num_shards=1, executor="serial", hierarchy_mode="rebuild"):
+def make_config(hierarchy_mode="rebuild"):
     return InGrassConfig(
         lrd=LRDConfig(seed=0),
         kappa_guard_dense_limit=DENSE_LIMIT,
         kappa_guard_factor=1.8,
         hierarchy_mode=hierarchy_mode,
-        num_shards=num_shards,
-        executor=executor,
-        shard_batch_threshold=0,
         seed=0,
     )
 
@@ -66,7 +70,7 @@ def scenario():
 
 
 def start_driver(scenario, config):
-    driver = InGrassSparsifier.from_config(config)
+    driver = InGrassSparsifier(config)
     driver.setup(scenario.graph, scenario.initial_sparsifier,
                  target_condition_number=scenario.initial_condition_number)
     return driver
@@ -85,11 +89,9 @@ def fingerprint(driver, ordered=True):
     """Everything the byte-identical-continuation contract promises.
 
     ``ordered=False`` compares edge dicts content-wise (set + weights) instead
-    of by insertion order: the ``threads`` executor mutates the shared graphs
-    from its pool in completion order, so insertion order is not deterministic
-    between two runs of the *same* stream — the checkpoint cannot promise an
-    order the engine itself does not.  ``serial`` and ``processes`` (mirror
-    replay in job order) are order-deterministic and get the strict check.
+    of by insertion order: the sharded engine that saved the legacy fixtures
+    built its edge dicts in its own order, which a restored unsharded driver
+    keeps.
     """
     arrange = (lambda d: list(d.items())) if ordered else (lambda d: sorted(d.items()))
     return {
@@ -102,19 +104,17 @@ def fingerprint(driver, ordered=True):
 
 
 # --------------------------------------------------------------------------- #
-# The round-trip property, across executors × shard counts × hierarchy modes
+# The round-trip property, across hierarchy modes
 # --------------------------------------------------------------------------- #
 class TestRoundTrip:
-    @pytest.mark.parametrize("num_shards,executor,hierarchy_mode", [
-        (1, "serial", "rebuild"),
-        (1, "serial", "maintain"),
-        (2, "threads", "maintain"),
-        (2, "processes", "rebuild"),
-        (4, "processes", "maintain"),
-    ])
+    @pytest.mark.parametrize("saved_by", ["rebuild", "maintain", *LEGACY_CONFIGS])
     def test_mid_stream_save_restore_continues_byte_identically(
-            self, scenario, tmp_path, num_shards, executor, hierarchy_mode):
-        config = make_config(num_shards, executor, hierarchy_mode)
+            self, scenario, tmp_path, saved_by):
+        """``saved_by`` is the hierarchy mode of a checkpoint saved here, or
+        the configuration of a legacy fixture saved by the sharded engine."""
+        hierarchy_mode = saved_by.rsplit("-", 1)[-1]
+        legacy = saved_by != hierarchy_mode
+        config = make_config(hierarchy_mode)
         batches = scenario.batches
         half = len(batches) // 2
 
@@ -122,20 +122,23 @@ class TestRoundTrip:
         for batch in batches:
             uninterrupted.update(batch)
 
-        interrupted = start_driver(scenario, config)
-        for batch in batches[:half]:
-            interrupted.update(batch)
-        path = tmp_path / "ckpt"
-        interrupted.save_checkpoint(path)
-        if isinstance(interrupted, ShardedSparsifier):
-            interrupted._shutdown_workers()  # the "kill"
+        if legacy:
+            path = LEGACY_CHECKPOINTS / saved_by
+        else:
+            interrupted = start_driver(scenario, config)
+            for batch in batches[:half]:
+                interrupted.update(batch)
+            path = tmp_path / "ckpt"
+            interrupted.save_checkpoint(path)
         restored = InGrassSparsifier.load_checkpoint(path)
-        assert type(restored) is type(interrupted)
+        assert type(restored) is InGrassSparsifier
+        assert restored.config == config
+        assert len(restored.history) == half
         for batch in batches[half:]:
             restored.update(batch)
 
-        ordered = executor != "threads"
-        assert fingerprint(restored, ordered) == fingerprint(uninterrupted, ordered)
+        assert fingerprint(restored, ordered=not legacy) == \
+            fingerprint(uninterrupted, ordered=not legacy)
 
     def test_restore_into_fresh_process(self, scenario, tmp_path):
         """The ISSUE's literal clause: restore in a *spawned* interpreter.
@@ -144,8 +147,7 @@ class TestRoundTrip:
         checkpoint, replays the second half of the stream and prints its
         fingerprint; the parent holds it to the uninterrupted run's.
         """
-        config = make_config(num_shards=2, executor="processes",
-                             hierarchy_mode="maintain")
+        config = make_config(hierarchy_mode="maintain")
         batches = scenario.batches
         half = len(batches) // 2
 
@@ -197,7 +199,7 @@ print(json.dumps({{
 class TestFormat:
     @pytest.fixture()
     def saved(self, scenario, tmp_path):
-        driver = start_driver(scenario, make_config(num_shards=2, executor="serial"))
+        driver = start_driver(scenario, make_config())
         for batch in scenario.batches[:2]:
             driver.update(batch)
         path = tmp_path / "ckpt"
@@ -210,9 +212,9 @@ class TestFormat:
         assert not is_checkpoint(tmp_path / "nothing-here")
         info = describe_checkpoint(path)
         assert info["format_version"] == CHECKPOINT_FORMAT_VERSION
-        assert info["driver_class"] == "ShardedSparsifier"
+        assert info["driver_class"] == "InGrassSparsifier"
         assert info["version"] == driver.latest_version
-        assert info["num_shards"] == 2
+        assert info["hierarchy_mode"] == "rebuild"
 
     def test_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -239,12 +241,12 @@ class TestFormat:
         assert texts[0] == texts[1]
 
     def test_config_survives_without_deprecation_warning(self, saved, recwarn):
-        _, path = saved
+        driver, path = saved
         recwarn.clear()
         restored = load_checkpoint(path)
         deprecations = [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
         assert not deprecations
-        assert restored.config.num_shards == 2
+        assert restored.config == driver.config
 
 
 # --------------------------------------------------------------------------- #
@@ -252,7 +254,7 @@ class TestFormat:
 # --------------------------------------------------------------------------- #
 class TestServiceRestore:
     def test_service_resumes_at_last_epoch(self, scenario, tmp_path):
-        service = SparsifierService(make_config(num_shards=2, executor="serial"))
+        service = SparsifierService(make_config())
         service.setup(scenario.graph, scenario.initial_sparsifier,
                       target_condition_number=scenario.initial_condition_number)
         for batch in scenario.batches[:3]:
@@ -269,3 +271,36 @@ class TestServiceRestore:
         # version moves on from the saved epoch.
         restored.apply(scenario.batches[3])
         assert restored.latest_version > saved_version
+
+
+# --------------------------------------------------------------------------- #
+# Version-1 checkpoints saved by the retired sharded engine
+# --------------------------------------------------------------------------- #
+class TestLegacyShardedCheckpoint:
+    def test_restores_unsharded_and_finishes_bit_exact(self, scenario):
+        manifest = json.loads((LEGACY_SHARDED_CHECKPOINT / "manifest.json").read_text())
+        assert manifest["driver_class"] == "ShardedSparsifier"
+        assert manifest["config"]["num_shards"] == 2
+        assert "sharding" in manifest["extra"]
+
+        info = describe_checkpoint(LEGACY_SHARDED_CHECKPOINT)
+        assert info["format_version"] == CHECKPOINT_FORMAT_VERSION == 1
+        for key in ("executor", "num_shards", "plan_shards", "replans"):
+            assert key not in info
+
+        restored = load_checkpoint(LEGACY_SHARDED_CHECKPOINT)
+        assert type(restored) is InGrassSparsifier
+        assert restored.config == make_config(hierarchy_mode="maintain")
+        saved_stats = manifest["extra"]["maintainer_stats"]
+        assert restored.maintenance_stats.splices == saved_stats["splices"]
+        done = len(restored.history)
+        assert done == 3
+        for batch in scenario.batches[done:]:
+            restored.update(batch)
+
+        uninterrupted = start_driver(scenario, make_config(hierarchy_mode="maintain"))
+        for batch in scenario.batches:
+            uninterrupted.update(batch)
+        assert dict(restored.sparsifier._edges) == dict(uninterrupted.sparsifier._edges)
+        assert dict(restored.graph._edges) == dict(uninterrupted.graph._edges)
+        assert restored.latest_version == uninterrupted.latest_version

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +126,16 @@ class TestClusterHierarchy:
         assert np.array_equal(hierarchy.embedding_vector(2), [1, 0])
         assert hierarchy.embedding_matrix().shape == (6, 2)
         assert hierarchy.cluster_of(4, 0) == 2
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h))],
+                             ids=["deepcopy", "pickle"])
+    def test_copy_keeps_labels_bound_to_embedding(self, clone):
+        hierarchy = clone(self._toy_hierarchy())
+        hierarchy.cluster_members(0, 0)
+        hierarchy.relabel_nodes(0, np.array([2, 3]), 0)
+        assert hierarchy.level(0).labels.tolist() == [0, 0, 0, 0, 2, 2]
+        assert hierarchy.first_common_level(0, 3) == 0
+        assert hierarchy.cluster_members(0, 0).tolist() == [0, 1, 2, 3]
 
     def test_first_common_level(self):
         hierarchy = self._toy_hierarchy()
